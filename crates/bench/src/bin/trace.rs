@@ -125,32 +125,16 @@ fn cmd_record(mut args: Vec<String>) {
     }
     let d = store.stats().since(&before);
     println!(
-        "recorded {} workload(s) into {}: {} recorded, {} hits, {} migrated, {} quarantined",
+        "recorded {} workload(s) into {}: {} recorded, {} hits, {} quarantined",
         workloads.len(),
         store.dir().display(),
         d.recorded,
         d.hits,
-        d.migrated,
         d.quarantined
     );
 }
 
 // --- info / ls -------------------------------------------------------------
-
-/// Bytes of legacy `.htrc` files still in the store (not yet migrated).
-fn legacy_bytes(dir: &Path) -> (u64, u64) {
-    let (mut files, mut bytes) = (0u64, 0u64);
-    if let Ok(rd) = std::fs::read_dir(dir) {
-        for entry in rd.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".htrc") {
-                files += 1;
-                bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
-    }
-    (files, bytes)
-}
 
 fn emit(report: Report, json: bool) {
     if json {
@@ -173,16 +157,13 @@ fn cmd_info(mut args: Vec<String>) {
         .iter()
         .map(|e| v1_bytes(e.uops, 0)) // outputs are not in the cheap header scan
         .sum();
-    let (legacy_files, legacy) = legacy_bytes(store.dir());
     let bpu = if uops == 0 { 0.0 } else { bytes as f64 / uops as f64 };
     let ratio = if v1_equiv == 0 { 0.0 } else { bytes as f64 / v1_equiv as f64 };
 
     let mut t = Table::new(vec!["metric".into(), "value".into()]);
     t.row(vec!["entries (HTRC2)".into(), entries.len().to_string()]);
-    t.row(vec!["entries (v1 legacy)".into(), legacy_files.to_string()]);
     t.row(vec!["µ-ops".into(), uops.to_string()]);
     t.row(vec!["corpus bytes".into(), bytes.to_string()]);
-    t.row(vec!["legacy bytes".into(), legacy.to_string()]);
     t.row(vec!["bytes/µ-op".into(), format!("{bpu:.3}")]);
     t.row(vec!["v2/v1 size ratio".into(), format!("{ratio:.3}")]);
     let mut r = Report::new(

@@ -4,7 +4,10 @@
 //! * `--quick` — run a representative 8-workload subset instead of all 32;
 //! * `--only <name>[,<name>...]` — run specific workloads;
 //! * `--jobs <N>` — sweep worker threads (default: all cores);
-//! * `--resume` — restore finished cells from the checkpoint journal;
+//! * `--resume` — restore finished cells from the checkpoint journal
+//!   `results/<id>.ckpt.jsonl`, a [`helios::ResultCache`] keyed by program
+//!   content, configuration and ISA version (the same store `sweepd` uses),
+//!   so a cell is restored only if its program is unchanged;
 //! * `--cell-timeout <secs>` — wall-clock budget per sweep cell;
 //! * `--retries <N>` — attempts per cell before quarantining (default 2);
 //! * `--server <url>` — run the sweep on a `sweepd` daemon (see
@@ -19,8 +22,9 @@
 //! * `HELIOS_SWEEP_STOP_AFTER` — stop claiming cells after N simulations
 //!   (a deterministic stand-in for `kill -9` in resume tests);
 //! * `HELIOS_TRACE_DIR` — content-addressed [`helios::TraceStore`]
-//!   directory: traces are recorded once ever, verified on every open, and
-//!   replayed block-at-a-time by sweep cells;
+//!   directory of HTRC2 files: traces are recorded once ever, verified on
+//!   every open, and replayed block-at-a-time by sweep cells (a leftover v1
+//!   `.htrc` file is ignored);
 //! * `HELIOS_BENCH_STABLE` — zero wall-clock-derived fields in
 //!   `BENCH_sweep.json` so CI can diff it across runs.
 
@@ -267,8 +271,8 @@ pub fn run_standard_sweep(id: &str, opts: &SweepOpts, modes: &[helios::FusionMod
         // Thin-client mode: the daemon simulates (or answers from its
         // result cache); the rebuilt sweep feeds the unchanged report
         // path, so stdout and the JSON artifact stay byte-identical to a
-        // local run. Checkpoints/resume stay local-only — the daemon's
-        // cache subsumes them.
+        // local run. The daemon keeps its own result store, so no local
+        // checkpoint is written.
         let sweep = server::client::remote_sweep(url, &opts.workloads, modes).unwrap_or_else(|e| {
             eprintln!("error: --server {url}: {e}");
             std::process::exit(helios::exit::FAILED);

@@ -1,240 +1,5 @@
-//! The daemon's persistent result cache: one simulated cell per line.
-//!
-//! A cell's identity is `(trace digest, config digest, ISA version)`:
-//!
-//! - the **trace digest** is [`TraceStore::digest`] over the workload's
-//!   program — recording is strict, so the program *is* the trace;
-//! - the **config digest** is [`PipeConfig::digest`], which exhaustively
-//!   covers every field (including the fusion mode), so any config change
-//!   keys a different cell;
-//! - the **ISA version** guards against semantics changes that keep the
-//!   program bytes identical.
-//!
-//! Storage is the same shape as the `helios-ckpt-v1` sweep journal: an
-//! append-only JSONL file, one self-describing object per line, fsynced per
-//! append so a crashed daemon loses at most the line being written. Lines
-//! that fail to parse, carry a foreign schema, or were written under a
-//! different ISA version are skipped on load (counted, not fatal) — the
-//! cost of a dropped line is one re-simulation, never a wrong result.
-//!
-//! Only successful cells are cached. Failures and timeouts are
-//! environmental (watchdog budgets, chaos injection, host load) and must
-//! stay retryable.
+//! The daemon's persistent result cache: the library's one result store
+//! ([`helios::ResultCache`], keyed by [`helios::CellKey`]), re-exported at
+//! its historical path.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-
-use helios::{Json, SimStats};
-use helios_isa::ISA_VERSION;
-
-/// Schema tag on every cache line.
-const SCHEMA: &str = "helios-cache-v1";
-
-/// Cache identity of one sweep cell.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CellKey {
-    /// [`helios::TraceStore::digest`] of the workload's program.
-    pub trace: u64,
-    /// [`PipeConfig::digest`](helios::PipeConfig) of the full configuration.
-    pub cfg: u64,
-}
-
-/// An in-memory index over the append-only cache journal.
-pub struct ResultCache {
-    path: PathBuf,
-    entries: HashMap<CellKey, SimStats>,
-    /// Lines skipped on load: malformed, foreign schema, or stale ISA.
-    skipped: usize,
-}
-
-fn hex16(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-fn parse_hex16(s: &str) -> Option<u64> {
-    (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok()).flatten()
-}
-
-impl ResultCache {
-    /// Opens (or creates) the cache journal at `path` and indexes every
-    /// valid line. Later lines win over earlier ones for the same key, so
-    /// re-appends after a digest-scheme migration behave as updates.
-    pub fn open(path: &Path) -> Result<ResultCache, String> {
-        let mut cache = ResultCache {
-            path: path.to_path_buf(),
-            entries: HashMap::new(),
-            skipped: 0,
-        };
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-        match File::open(path) {
-            Ok(f) => {
-                for line in BufReader::new(f).lines() {
-                    let line = line.map_err(|e| format!("read {}: {e}", path.display()))?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match Self::parse_line(&line) {
-                        Some((key, stats)) => {
-                            cache.entries.insert(key, stats);
-                        }
-                        None => cache.skipped += 1,
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("open {}: {e}", path.display())),
-        }
-        Ok(cache)
-    }
-
-    fn parse_line(line: &str) -> Option<(CellKey, SimStats)> {
-        let doc = Json::parse(line).ok()?;
-        if doc.get("schema")?.as_str()? != SCHEMA {
-            return None;
-        }
-        if doc.get("isa")?.as_u64()? != u64::from(ISA_VERSION) {
-            return None;
-        }
-        let key = CellKey {
-            trace: parse_hex16(doc.get("trace")?.as_str()?)?,
-            cfg: parse_hex16(doc.get("cfg")?.as_str()?)?,
-        };
-        let stats = doc.get("stats")?.as_object()?;
-        let kv: Option<Vec<(&str, u64)>> = stats
-            .iter()
-            .map(|(k, v)| v.as_u64().map(|n| (k.as_str(), n)))
-            .collect();
-        SimStats::from_kv(kv?).ok().map(|s| (key, s))
-    }
-
-    /// Cached stats for `key`, if any.
-    pub fn get(&self, key: CellKey) -> Option<&SimStats> {
-        self.entries.get(&key)
-    }
-
-    /// Number of cached cells.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Lines skipped on load (malformed / foreign schema / stale ISA).
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// Records a successful cell: updates the index and appends one fsynced
-    /// line to the journal. The `workload` and `mode` names ride along for
-    /// human debugging only; identity lives entirely in `key`.
-    pub fn put(
-        &mut self,
-        key: CellKey,
-        workload: &str,
-        mode: &str,
-        stats: &SimStats,
-    ) -> Result<(), String> {
-        let line = Json::Obj(vec![
-            ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("isa".to_string(), Json::Num(f64::from(ISA_VERSION))),
-            ("trace".to_string(), Json::Str(hex16(key.trace))),
-            ("cfg".to_string(), Json::Str(hex16(key.cfg))),
-            ("workload".to_string(), Json::Str(workload.to_string())),
-            ("mode".to_string(), Json::Str(mode.to_string())),
-            (
-                "stats".to_string(),
-                Json::Obj(
-                    stats
-                        .to_kv()
-                        .into_iter()
-                        .map(|(k, v)| (k, Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string();
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| format!("open {}: {e}", self.path.display()))?;
-        writeln!(f, "{line}").map_err(|e| format!("append {}: {e}", self.path.display()))?;
-        f.sync_data()
-            .map_err(|e| format!("sync {}: {e}", self.path.display()))?;
-        self.entries.insert(key, stats.clone());
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "helios-cache-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir.join("results.jsonl")
-    }
-
-    fn stats(cycles: u64) -> SimStats {
-        SimStats {
-            cycles,
-            instructions: cycles / 2,
-            ..SimStats::default()
-        }
-    }
-
-    #[test]
-    fn round_trips_through_the_journal() {
-        let path = scratch("rt");
-        let key = CellKey { trace: 0xdead_beef_0000_0001, cfg: 0x1234 };
-        {
-            let mut cache = ResultCache::open(&path).unwrap();
-            assert!(cache.is_empty());
-            cache.put(key, "fft", "Helios", &stats(1000)).unwrap();
-            assert_eq!(cache.get(key).unwrap().cycles, 1000);
-        }
-        let cache = ResultCache::open(&path).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.skipped(), 0);
-        assert_eq!(cache.get(key).unwrap(), &stats(1000));
-        assert!(cache.get(CellKey { trace: 1, cfg: 2 }).is_none());
-    }
-
-    #[test]
-    fn later_lines_win_and_bad_lines_are_skipped_not_fatal() {
-        let path = scratch("skew");
-        let key = CellKey { trace: 7, cfg: 9 };
-        let mut cache = ResultCache::open(&path).unwrap();
-        cache.put(key, "w", "NoFusion", &stats(10)).unwrap();
-        cache.put(key, "w", "NoFusion", &stats(20)).unwrap();
-        // Corrupt tail + foreign schema + stale ISA, all skipped on load.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "{{ not json").unwrap();
-        writeln!(f, "{{\"schema\":\"other-v1\"}}").unwrap();
-        writeln!(
-            f,
-            "{{\"schema\":\"{SCHEMA}\",\"isa\":999,\"trace\":\"{}\",\"cfg\":\"{}\",\"stats\":{{}}}}",
-            hex16(1),
-            hex16(2)
-        )
-        .unwrap();
-        drop(f);
-        let cache = ResultCache::open(&path).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(key).unwrap().cycles, 20);
-        assert_eq!(cache.skipped(), 3);
-    }
-}
+pub use helios::{CellKey, ResultCache};

@@ -193,10 +193,7 @@ impl Shared {
     /// Runs one cell: cache lookup first, then record/replay + simulate.
     fn run_cell(&self, w: &Workload, mode: FusionMode) -> CellDone {
         let cfg = PipeConfig::with_fusion(mode);
-        let key = CellKey {
-            trace: TraceStore::digest(&w.program),
-            cfg: cfg.digest(),
-        };
+        let key = CellKey::of(w, &cfg);
         if let Some(stats) = self.cache.lock().expect("cache lock poisoned").get(key) {
             self.cells_cached.fetch_add(1, Ordering::Relaxed);
             return CellDone::Ok {

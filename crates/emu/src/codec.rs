@@ -1,9 +1,9 @@
 //! HTRC2: the compact, columnar, block-framed on-disk trace encoding.
 //!
-//! The v1 layout (`record.rs`) serialized every [`Retired`] field raw —
-//! 47 bytes per dynamic µ-op on disk, ~88 in memory — which capped the
-//! trace corpus at a few hundred megabytes and forced sweep replay to
-//! materialize whole traces. HTRC2 exploits the fact that a retired-µ-op
+//! The retired v1 layout serialized every [`Retired`] field raw — 47 bytes
+//! per dynamic µ-op on disk, ~88 in memory — which capped the trace corpus
+//! at a few hundred megabytes and forced sweep replay to materialize whole
+//! traces. HTRC2 exploits the fact that a retired-µ-op
 //! trace is *almost entirely derivable* from ISA semantics:
 //!
 //! * **`pc` chains**: every µ-op's `pc` equals the previous µ-op's
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 /// small enough that a streaming replay holds ~5 MB, not a whole trace.
 pub const DEFAULT_BLOCK_UOPS: u32 = 64 * 1024;
 
-/// On-disk format version written by [`encode_v2`] (v1 is `record.rs`).
+/// On-disk format version written by [`encode_v2`] (the only one read).
 pub(crate) const V2_FORMAT_VERSION: u16 = 2;
 
 // --- varint / zigzag ------------------------------------------------------
@@ -146,8 +146,8 @@ fn unencodable(seq: u64, why: impl Into<String>) -> TraceIoError {
 /// store file carries exactly this plus the path.
 #[derive(Clone, Debug)]
 pub struct Htrc2Header {
-    /// Semantic integrity stamp (same content hash as the v1 format, so a
-    /// re-encoded v1 trace keeps its identity).
+    /// Semantic integrity stamp (the same content hash an in-memory
+    /// recording of the trace carries).
     pub stamp: TraceStamp,
     /// Total retired µ-ops in the trace.
     pub uops: u64,
@@ -901,9 +901,10 @@ mod tests {
 
     #[test]
     fn v1_files_report_format_version() {
-        let t = rich_trace();
-        let mut v1 = Vec::new();
-        t.save_v1(&mut v1).unwrap();
+        // A retired v1 file: magic, format 1, then a 28-byte header.
+        let mut v1 = TRACE_MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&[0; 28]);
         assert!(matches!(
             read_header(&mut v1.as_slice()),
             Err(TraceIoError::FormatVersion { found: 1, want: 2 })

@@ -117,7 +117,14 @@ if [ "$int_rc" -ne 130 ]; then
     echo "ci: FAIL — interrupted sweep exited $int_rc, expected 130" >&2
     exit 1
 fi
-"${fig10[@]}" --resume > "$scratch/resumed.out" 2> /dev/null
+"${fig10[@]}" --resume > "$scratch/resumed.out" 2> "$scratch/resumed.err"
+# Byte-identity alone would also pass a --resume that ignored the journal
+# and re-simulated every cell; require that the 17 finished cells restored.
+grep -q "resume: restored 17/48" "$scratch/resumed.err" || {
+    echo "ci: FAIL — resumed sweep did not restore the 17 journaled cells:" >&2
+    grep "resume:" "$scratch/resumed.err" >&2 || true
+    exit 1
+}
 cmp "$scratch/ref.out" "$scratch/resumed.out" || {
     echo "ci: FAIL — resumed sweep stdout differs from uninterrupted run" >&2
     exit 1

@@ -25,12 +25,14 @@
 //!   reports can annotate them and exit codes can distinguish a partial
 //!   sweep from a complete one.
 //! * **Crash-safe checkpointing** — with a [`Checkpoint`] attached, every
-//!   finished cell is appended to a JSONL journal and fsynced before the
-//!   sweep moves on, keyed by `(workload, PipeConfig::digest)`. A killed
-//!   sweep resumed with [`Checkpoint::resume`] replays finished cells from
-//!   the journal and only simulates the rest; the merged result is
-//!   byte-identical to an uninterrupted run.
+//!   finished cell is appended to a [`ResultCache`] journal and fsynced
+//!   before the sweep moves on, keyed by content ([`CellKey`]: program
+//!   digest, config digest, ISA version). A killed sweep resumed with
+//!   [`Checkpoint::resume`] restores finished cells from the journal and
+//!   only simulates the rest; the merged result is byte-identical to an
+//!   uninterrupted run.
 
+use crate::cache::{CellKey, ResultCache};
 use helios_core::FusionMode;
 use helios_emu::{StoreStats, Trace, TraceStore, UopSource};
 use helios_uarch::{
@@ -39,9 +41,9 @@ use helios_uarch::{
 };
 use helios_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -320,13 +322,15 @@ impl Default for SweepPolicy {
     }
 }
 
-/// Checkpoint journal configuration for [`run_sweep_opts`].
+/// Checkpoint journal configuration for [`run_sweep_opts`]: a
+/// [`ResultCache`] file that every finished cell is appended to.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Journal file (conventionally `results/<id>.ckpt.jsonl`).
     pub path: PathBuf,
-    /// `true`: restore finished cells from an existing journal and append
-    /// to it. `false`: start fresh, truncating any prior journal.
+    /// `true`: restore every cell whose [`CellKey`] the journal already
+    /// holds, and append to it. `false`: start fresh, truncating any prior
+    /// journal.
     pub resume: bool,
 }
 
@@ -587,99 +591,6 @@ pub fn sweep_interrupted() -> bool {
     SWEEP_INTERRUPTED.load(Ordering::SeqCst)
 }
 
-// --- Checkpoint journal --------------------------------------------------
-
-/// Schema tag on every journal line.
-const CKPT_SCHEMA: &str = "helios-ckpt-v1";
-
-/// One finished cell as a journal line:
-/// `{"schema":"helios-ckpt-v1","workload":…,"mode":…,"cfg":"<16 hex>","stats":{…}}`.
-fn journal_line(workload: &str, mode: &str, cfg_digest: u64, stats: &SimStats) -> String {
-    let stats_body: Vec<String> = stats
-        .to_kv()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!(
-        "{{\"schema\":\"{CKPT_SCHEMA}\",\"workload\":\"{}\",\"mode\":\"{}\",\"cfg\":\"{cfg_digest:016x}\",\"stats\":{{{}}}}}",
-        crate::json::escape(workload),
-        crate::json::escape(mode),
-        stats_body.join(",")
-    )
-}
-
-/// Parses one journal line back into `(workload, mode, cfg digest, stats)`.
-fn parse_journal_line(line: &str) -> Result<(String, String, u64, SimStats), String> {
-    let v = crate::Json::parse(line).map_err(|e| e.to_string())?;
-    if v.get("schema").and_then(crate::Json::as_str) != Some(CKPT_SCHEMA) {
-        return Err(format!("not a {CKPT_SCHEMA} record"));
-    }
-    let workload = v
-        .get("workload")
-        .and_then(crate::Json::as_str)
-        .ok_or("missing workload")?;
-    let mode = v.get("mode").and_then(crate::Json::as_str).ok_or("missing mode")?;
-    let cfg = v
-        .get("cfg")
-        .and_then(crate::Json::as_str)
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("missing or malformed cfg digest")?;
-    let kv: Vec<(&str, u64)> = v
-        .get("stats")
-        .and_then(crate::Json::as_object)
-        .ok_or("missing stats")?
-        .iter()
-        .map(|(k, n)| {
-            n.as_u64()
-                .map(|n| (k.as_str(), n))
-                .ok_or_else(|| format!("non-integer stat {k}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let stats = SimStats::from_kv(kv)?;
-    Ok((workload.to_string(), mode.to_string(), cfg, stats))
-}
-
-/// Reads a journal, skipping (with a warning) lines that fail to parse —
-/// a torn final write from a crash must not poison the resume.
-fn load_journal(path: &Path) -> io::Result<HashMap<(String, u64), SimStats>> {
-    let mut map = HashMap::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(map),
-        Err(e) => return Err(e),
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_journal_line(line) {
-            Ok((w, _mode, cfg, stats)) => {
-                map.insert((w, cfg), stats);
-            }
-            Err(e) => eprintln!(
-                "warning: {}:{}: unreadable checkpoint line ({e}); cell will be re-simulated",
-                path.display(),
-                lineno + 1
-            ),
-        }
-    }
-    Ok(map)
-}
-
-/// Append-only, fsync-per-line journal writer: a line is only ever observed
-/// complete or absent, never torn across a crash *and* trusted.
-struct Journal {
-    file: std::fs::File,
-}
-
-impl Journal {
-    fn append(&mut self, line: &str) -> io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.sync_data()
-    }
-}
-
 // --- Trace cache ---------------------------------------------------------
 
 /// Per-workload trace handles for one sweep. A workload's trace is obtained
@@ -806,35 +717,36 @@ pub fn run_sweep_opts(
     // Restore finished cells from the journal before spawning workers.
     let outcomes: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let mut restored = 0usize;
-    let journal: Option<Mutex<Journal>> = match &opts.checkpoint {
+    let journal: Option<Mutex<ResultCache>> = match &opts.checkpoint {
         Some(ck) => {
-            if let Some(parent) = ck.path.parent() {
-                if !parent.as_os_str().is_empty() {
+            if !ck.resume {
+                if let Some(parent) = ck.path.parent().filter(|p| !p.as_os_str().is_empty()) {
                     std::fs::create_dir_all(parent)?;
                 }
+                std::fs::File::create(&ck.path)?;
             }
-            if ck.resume {
-                let prior = load_journal(&ck.path)?;
-                for (i, slot) in outcomes.iter().enumerate() {
-                    let (w, mi) = (&workloads[i / modes.len()], i % modes.len());
-                    if let Some(stats) = prior.get(&(w.name.to_string(), cfgs[mi].digest())) {
-                        *slot.lock().unwrap() = Some(CellOutcome::Ok(Box::new(stats.clone())));
-                        restored += 1;
-                    }
-                }
-                if restored > 0 {
-                    eprintln!(
-                        "resume: restored {restored}/{total} cells from {}",
-                        ck.path.display()
-                    );
+            let cache = ResultCache::open(&ck.path).map_err(io::Error::other)?;
+            if cache.skipped() > 0 {
+                eprintln!(
+                    "warning: {}: skipped {} unreadable or stale line(s); those cells will be re-simulated",
+                    ck.path.display(),
+                    cache.skipped()
+                );
+            }
+            for (i, slot) in outcomes.iter().enumerate() {
+                let (w, mi) = (&workloads[i / modes.len()], i % modes.len());
+                if let Some(stats) = cache.get(CellKey::of(w, &cfgs[mi])) {
+                    *slot.lock().unwrap() = Some(CellOutcome::Ok(Box::new(stats.clone())));
+                    restored += 1;
                 }
             }
-            let file = if ck.resume {
-                std::fs::OpenOptions::new().create(true).append(true).open(&ck.path)?
-            } else {
-                std::fs::File::create(&ck.path)?
-            };
-            Some(Mutex::new(Journal { file }))
+            if restored > 0 {
+                eprintln!(
+                    "resume: restored {restored}/{total} cells from {}",
+                    ck.path.display()
+                );
+            }
+            Some(Mutex::new(cache))
         }
         None => None,
     };
@@ -870,8 +782,8 @@ pub fn run_sweep_opts(
                 }
                 let outcome = run_cell(w, mode, cfgs[mi], wi, &traces, opts);
                 if let (CellOutcome::Ok(stats), Some(j)) = (&outcome, &journal) {
-                    let line = journal_line(w.name, mode.name(), cfgs[mi].digest(), stats);
-                    if let Err(e) = j.lock().unwrap().append(&line) {
+                    let key = CellKey::of(w, &cfgs[mi]);
+                    if let Err(e) = j.lock().unwrap().put(key, w.name, mode.name(), stats) {
                         eprintln!("\rwarning: checkpoint append failed: {e}");
                     }
                 }
@@ -897,8 +809,8 @@ pub fn run_sweep_opts(
         // warm store.
         let d = store.stats().since(before);
         eprintln!(
-            "trace store: {} recorded, {} hits, {} migrated, {} quarantined",
-            d.recorded, d.hits, d.migrated, d.quarantined
+            "trace store: {} recorded, {} hits, {} quarantined",
+            d.recorded, d.hits, d.quarantined
         );
     }
 
@@ -1093,20 +1005,5 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, SimError::WallClockTimeout { .. }), "{err}");
-    }
-
-    #[test]
-    fn journal_line_round_trips() {
-        let w = helios_workloads::workload("crc32").unwrap();
-        let stats = SimRequest::mode(&w, FusionMode::NoFusion).run().stats;
-        let cfg = PipeConfig::with_fusion(FusionMode::NoFusion).digest();
-        let line = journal_line("crc32", "NoFusion", cfg, &stats);
-        let (pw, pm, pcfg, pstats) = parse_journal_line(&line).unwrap();
-        assert_eq!((pw.as_str(), pm.as_str(), pcfg), ("crc32", "NoFusion", cfg));
-        assert_eq!(pstats.to_kv(), stats.to_kv());
-        // Corruption in any part fails parsing, not the process.
-        assert!(parse_journal_line(&line[..line.len() / 2]).is_err());
-        assert!(parse_journal_line(&line.replace("cycles", "cycels")).is_err());
-        assert!(parse_journal_line("{\"schema\":\"other\"}").is_err());
     }
 }

@@ -18,12 +18,14 @@
 //! assert_eq!(base.instructions, fused.instructions);
 //! ```
 
+mod cache;
 mod experiment;
 pub mod fuzz;
 mod json;
 mod metrics;
 mod report;
 
+pub use cache::{CellKey, ResultCache};
 pub use experiment::{
     default_jobs, install_interrupt_handler, panic_message, run_sweep, run_sweep_jobs,
     run_sweep_opts, sweep_interrupted, CellOutcome, CellReport, Checkpoint, Progress, RunResult,

@@ -1,14 +1,14 @@
 //! Resilient-sweep integration tests: per-cell fault quarantine, watchdog
-//! timeouts, checkpoint/resume equivalence, journal corruption recovery,
-//! and integrity-checked trace caching.
+//! timeouts, checkpoint/resume equivalence, content-keyed resume, journal
+//! corruption recovery, and integrity-checked trace caching.
 //!
 //! Every test drives the real [`helios::run_sweep_opts`] executor; chaos
 //! injection (`CellChaos`) exercises the genuine panic-isolation and
 //! deadline paths, not mocks.
 
 use helios::{
-    run_sweep_opts, CellChaos, CellOutcome, Checkpoint, FusionMode, Sweep, SweepOptions,
-    SweepPolicy, Workload,
+    run_sweep_opts, CellChaos, CellOutcome, Checkpoint, FusionMode, ResultCache, Sweep,
+    SweepOptions, SweepPolicy, Workload,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -149,6 +149,7 @@ fn interrupted_sweep_resumes_to_identical_results() {
         2,
         "exactly the finished cells are journaled"
     );
+    assert_eq!(ResultCache::open(&ckpt).unwrap().len(), 2);
 
     let resumed = run_sweep_opts(
         &ws,
@@ -208,7 +209,7 @@ fn corrupted_journal_line_is_recovered() {
         &SweepOptions {
             jobs: 1,
             checkpoint: Some(Checkpoint {
-                path: ckpt,
+                path: ckpt.clone(),
                 resume: true,
             }),
             ..SweepOptions::default()
@@ -218,6 +219,42 @@ fn corrupted_journal_line_is_recovered() {
     assert!(resumed.is_complete());
     assert_eq!(resumed.restored(), 2, "the two intact lines restore");
     assert_same_results(&reference, &resumed);
+    // The re-simulated cells were appended after the torn tail, not glued
+    // onto it: every cell is durable now.
+    let journal = ResultCache::open(&ckpt).unwrap();
+    assert_eq!((journal.len(), journal.skipped()), (4, 2));
+}
+
+/// Resume is keyed by content, not by name: a workload whose program
+/// changed under the same name re-simulates instead of restoring the old
+/// program's stats, and the result equals a fresh run.
+#[test]
+fn resume_resimulates_a_workload_whose_program_changed() {
+    let _g = gate();
+    let (ws, modes) = small_grid();
+    let dir = scratch("content-key");
+    let ckpt = dir.join("sweep.ckpt.jsonl");
+    let journal = |resume| SweepOptions {
+        jobs: 1,
+        checkpoint: Some(Checkpoint {
+            path: ckpt.clone(),
+            resume,
+        }),
+        ..SweepOptions::default()
+    };
+    assert!(run_sweep_opts(&ws, &modes, &journal(false)).unwrap().is_complete());
+
+    // Same names, but "bitcount" now runs fft's program.
+    let changed = Workload {
+        name: "bitcount",
+        ..helios::workload("fft").unwrap()
+    };
+    let ws = vec![ws[0].clone(), changed];
+    let fresh = run_sweep_opts(&ws, &modes, &SweepOptions::default()).unwrap();
+    let resumed = run_sweep_opts(&ws, &modes, &journal(true)).unwrap();
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.restored(), 2, "only crc32's cells restore");
+    assert_same_results(&fresh, &resumed);
 }
 
 /// The trace store detects a corrupted entry (block checksum mismatch on

@@ -1,7 +1,7 @@
 //! TraceStore + HTRC2 integration suite: exact codec round-trips over the
-//! whole workload registry and a 200-program fuzz corpus, legacy v1
-//! migration against an independently written file, corruption detection on
-//! store files, and single-writer concurrency.
+//! whole workload registry and a 200-program fuzz corpus, a leftover v1 file
+//! being ignored, corruption detection on store files, and single-writer
+//! concurrency.
 
 use helios::fuzz::{FuzzProgram, Profile, FUZZ_FUEL};
 use helios::TraceStore;
@@ -77,61 +77,28 @@ fn fuzz_corpus_round_trips_exactly() {
     assert_eq!(encoded, 200);
 }
 
-/// A v1 file written by an independent implementation of the documented
-/// layout (34-byte header, fixed 47-byte records) is read transparently:
-/// the store migrates it to HTRC2 without re-running the emulator, deletes
-/// the original, and the migrated trace replays identically.
+/// A retired v1 `<name>.htrc` file left by an older build is ignored: the
+/// workload is an ordinary miss and is recorded into HTRC2, and the v1 file
+/// is neither read, verified, collected, nor deleted.
 #[test]
-fn independently_written_v1_file_is_migrated() {
-    let dir = scratch("v1-compat");
+fn leftover_v1_file_is_ignored_and_rerecorded() {
+    let dir = scratch("v1-leftover");
     let w = helios::workload("fft").unwrap();
-    let reference = w.trace().unwrap();
-
-    let stamp = reference.stamp();
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"HTRC");
-    v1.extend_from_slice(&1u16.to_le_bytes());
-    v1.extend_from_slice(&stamp.isa_version.to_le_bytes());
-    v1.extend_from_slice(&stamp.checksum.to_le_bytes());
-    v1.extend_from_slice(&reference.len().to_le_bytes());
-    v1.extend_from_slice(&(reference.output().len() as u64).to_le_bytes());
-    for r in reference.replay() {
-        v1.extend_from_slice(&r.seq.to_le_bytes());
-        v1.extend_from_slice(&r.pc.to_le_bytes());
-        v1.extend_from_slice(&helios_isa::encode(&r.inst).to_le_bytes());
-        v1.extend_from_slice(&r.next_pc.to_le_bytes());
-        match r.mem {
-            None => v1.extend_from_slice(&[0; 10]),
-            Some(m) => {
-                v1.push(if m.is_store { 2 } else { 1 });
-                v1.extend_from_slice(&m.addr.to_le_bytes());
-                v1.push(m.size);
-            }
-        }
-        match r.rd_value {
-            None => v1.extend_from_slice(&[0; 9]),
-            Some(v) => {
-                v1.push(1);
-                v1.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-    for &o in reference.output() {
-        v1.extend_from_slice(&o.to_le_bytes());
-    }
     let v1_path = dir.join("fft.htrc");
+    let mut v1 = b"HTRC".to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[0; 28]);
     fs::write(&v1_path, &v1).unwrap();
 
     let store = TraceStore::open(&dir).unwrap();
-    let migrated = w.stored(&store).unwrap();
+    let t = w.stored(&store).unwrap();
     let stats = store.stats();
-    assert_eq!(stats.migrated, 1, "v1 file feeds the store: {stats:?}");
-    assert_eq!(stats.recorded, 0, "no re-emulation: {stats:?}");
-    assert!(!v1_path.exists(), "migration retires the v1 file");
-    assert_eq!(migrated.stamp(), reference.stamp());
-    let a: Vec<_> = migrated.replay().collect();
-    let b: Vec<_> = reference.replay().collect();
-    assert_eq!(a, b, "migrated trace replays identically");
+    assert_eq!((stats.recorded, stats.hits, stats.quarantined), (1, 0, 0), "{stats:?}");
+    assert_eq!(t.stamp(), w.trace().unwrap().stamp());
+    let report = store.verify().unwrap();
+    assert_eq!((report.ok.len(), report.bad.len()), (1, 0));
+    assert_eq!(store.gc().unwrap().removed, 0);
+    assert_eq!(fs::read(&v1_path).unwrap(), v1, "v1 file left untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 
