@@ -8,22 +8,15 @@
 //! cargo run --release -p helios-bench --bin fig10 [--quick|--only a,b] [--jobs N]
 //! ```
 //!
-//! Also writes `BENCH_sweep.json` (wall-clock, cells/sec, simulated
-//! Mcycles/sec, jobs used) to the working directory so the simulator's own
-//! performance trajectory is tracked alongside its outputs. Set
-//! `HELIOS_BENCH_STABLE=1` to zero the wall-clock-derived fields so the
-//! file can be diffed across runs (resume-equivalence CI).
+//! The simulator's own speed on this grid is measured by the benchmark of
+//! record (`python3 perfbench/run.py --workload sweep-warm`), not here.
 
 use helios::{format_row, FusionMode, Report, Table};
-use std::time::Instant;
 
 fn main() {
     let opts = helios_bench::parse_opts();
     let modes = FusionMode::ALL;
-    let start = Instant::now();
     let sweep = helios_bench::run_standard_sweep("fig10", &opts, &modes);
-    let wall = start.elapsed().as_secs_f64();
-    write_bench_json(&sweep, wall, opts.jobs);
 
     let mut headers = vec!["benchmark".to_string(), "IPC(base)".to_string()];
     headers.extend(
@@ -92,37 +85,4 @@ fn main() {
         pct(FusionMode::OracleFusion, FusionMode::NoFusion)
     ));
     helios_bench::finalize_sweep_report(report, &sweep);
-}
-
-/// Records the sweep's own throughput in `BENCH_sweep.json`. With
-/// `HELIOS_BENCH_STABLE=1` the wall-clock-derived fields are zeroed so the
-/// file is a pure function of the simulated cells and can be diffed across
-/// runs (e.g. interrupted-then-resumed vs uninterrupted).
-fn write_bench_json(sweep: &helios::Sweep, wall_seconds: f64, jobs: usize) {
-    let stable = std::env::var("HELIOS_BENCH_STABLE").is_ok_and(|v| v == "1");
-    let wall_seconds = if stable { 0.0 } else { wall_seconds };
-    let cells = sweep.results().len();
-    let sim_cycles: u64 = sweep.results().iter().map(|r| r.stats.cycles).sum();
-    let per_sec = |x: f64| {
-        if stable {
-            0.0
-        } else {
-            x / wall_seconds
-        }
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"fig10_sweep\",\n  \"workloads\": {},\n  \"modes\": {},\n  \"cells\": {},\n  \"jobs\": {},\n  \"wall_seconds\": {:.3},\n  \"cells_per_sec\": {:.3},\n  \"simulated_cycles\": {},\n  \"simulated_mcycles_per_sec\": {:.3}\n}}\n",
-        sweep.workloads().len(),
-        FusionMode::ALL.len(),
-        cells,
-        jobs,
-        wall_seconds,
-        per_sec(cells as f64),
-        sim_cycles,
-        per_sec(sim_cycles as f64 / 1e6),
-    );
-    match std::fs::write("BENCH_sweep.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_sweep.json ({cells} cells, {wall_seconds:.1}s, {jobs} jobs)"),
-        Err(e) => eprintln!("warning: could not write BENCH_sweep.json: {e}"),
-    }
 }

@@ -7,30 +7,23 @@
 //! trace ls     --store DIR [--json]        per-entry listing (helios-report-v1)
 //! trace verify --store DIR                 deep-verify every file; exit 1 on corruption
 //! trace gc     --store DIR                 reclaim corrupt/stale/abandoned files
-//! trace bench  --store DIR                 codec benchmark -> results/BENCH_trace.json
 //! trace dump   WORKLOAD [skip] [count] [--konata OUT] [--mode M] [--limit N]
 //! ```
 //!
 //! `--store DIR` falls back to `$HELIOS_TRACE_DIR`. An unrecognized first
 //! argument keeps the pre-subcommand CLI working: it is treated as a
 //! workload name for `dump`.
+//!
+//! Codec and store throughput are measured by the benchmark of record
+//! (`python3 perfbench/run.py --workload trace-cold`), not here.
 
 use helios::{FusionMode, ObsOpts, Report, SimRequest, Table, TraceStore};
-use helios_emu::{codec, BlockReplay, Trace};
 use helios_isa::disassemble;
-use std::io::Read;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-/// v1 on-disk cost of a trace: 34-byte header, 47 bytes per µ-op, 8 per
-/// output word (the fixed layout the retired HTRC v1 serializer wrote).
-fn v1_bytes(uops: u64, outputs: u64) -> u64 {
-    34 + 47 * uops + 8 * outputs
-}
+use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: trace <record|info|ls|verify|gc|bench> --store DIR [args]\n\
+        "usage: trace <record|info|ls|verify|gc> --store DIR [args]\n\
          \x20      trace dump WORKLOAD [skip] [count] [--konata OUT] [--mode M] [--limit N]\n\
          --store defaults to $HELIOS_TRACE_DIR"
     );
@@ -47,18 +40,12 @@ fn open_store(args: &mut Vec<String>) -> TraceStore {
             }
             let dir = PathBuf::from(&args[i + 1]);
             args.drain(i..=i + 1);
-            dir
+            Some(dir)
         }
-        None => match std::env::var_os("HELIOS_TRACE_DIR") {
-            Some(d) => PathBuf::from(d),
-            None => {
-                eprintln!("error: no --store and no $HELIOS_TRACE_DIR");
-                std::process::exit(helios::exit::USAGE);
-            }
-        },
+        None => None,
     };
-    TraceStore::open(&dir).unwrap_or_else(|e| {
-        eprintln!("error: cannot open trace store {}: {e}", dir.display());
+    helios_bench::open_trace_store(dir).unwrap_or_else(|| {
+        eprintln!("error: no --store and no $HELIOS_TRACE_DIR");
         std::process::exit(helios::exit::USAGE);
     })
 }
@@ -85,8 +72,6 @@ fn main() {
         "ls" => cmd_ls(args),
         "verify" => cmd_verify(args),
         "gc" => cmd_gc(args),
-        "bench" => cmd_bench(args),
-        "rss-probe" => cmd_rss_probe(args),
         "dump" => cmd_dump(args),
         "--help" | "-h" | "help" => usage(),
         // Pre-subcommand CLI: `trace crc32 --konata out` etc.
@@ -153,28 +138,15 @@ fn cmd_info(mut args: Vec<String>) {
     });
     let uops: u64 = entries.iter().map(|e| e.uops).sum();
     let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    let v1_equiv: u64 = entries
-        .iter()
-        .map(|e| v1_bytes(e.uops, 0)) // outputs are not in the cheap header scan
-        .sum();
     let bpu = if uops == 0 { 0.0 } else { bytes as f64 / uops as f64 };
-    let ratio = if v1_equiv == 0 { 0.0 } else { bytes as f64 / v1_equiv as f64 };
 
     let mut t = Table::new(vec!["metric".into(), "value".into()]);
     t.row(vec!["entries (HTRC2)".into(), entries.len().to_string()]);
     t.row(vec!["µ-ops".into(), uops.to_string()]);
     t.row(vec!["corpus bytes".into(), bytes.to_string()]);
     t.row(vec!["bytes/µ-op".into(), format!("{bpu:.3}")]);
-    t.row(vec!["v2/v1 size ratio".into(), format!("{ratio:.3}")]);
-    let mut r = Report::new(
-        "trace_info",
-        format!("Trace store: {}", store.dir().display()),
-        t,
-    );
-    r.note(format!(
-        "v1 equivalent: {v1_equiv} bytes (47 B/µ-op fixed layout)"
-    ));
-    emit(r, json);
+    let title = format!("Trace store: {}", store.dir().display());
+    emit(Report::new("trace_info", title, t), json);
 }
 
 fn cmd_ls(mut args: Vec<String>) {
@@ -250,204 +222,6 @@ fn cmd_gc(mut args: Vec<String>) {
         report.removed,
         report.bytes_reclaimed
     );
-}
-
-// --- bench -----------------------------------------------------------------
-
-/// Peak RSS of this process so far, in kilobytes (`VmHWM` from
-/// `/proc/self/status`; 0 where unavailable).
-fn peak_rss_kb() -> u64 {
-    let mut s = String::new();
-    if std::fs::File::open("/proc/self/status")
-        .and_then(|mut f| f.read_to_string(&mut s))
-        .is_err()
-    {
-        return 0;
-    }
-    s.lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().trim_end_matches(" kB").trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Hidden helper: runs one full sweep in a child process and prints its
-/// peak RSS, so `bench` can compare streaming-from-store against
-/// materialized in-memory traces (VmHWM is monotonic, so the two
-/// configurations need separate processes).
-fn cmd_rss_probe(mut args: Vec<String>) {
-    let materialize = take_flag(&mut args, "--materialize");
-    let store = open_store(&mut args);
-    let ws = helios::all_workloads();
-    let modes = [FusionMode::NoFusion, FusionMode::Helios];
-    let opts = helios::SweepOptions {
-        jobs: 4,
-        trace_store: (!materialize).then(|| store.clone()),
-        ..helios::SweepOptions::default()
-    };
-    let sweep = helios::run_sweep_opts(&ws, &modes, &opts).unwrap_or_else(|e| {
-        eprintln!("error: rss probe sweep: {e}");
-        std::process::exit(helios::exit::FAILED);
-    });
-    if !sweep.is_complete() {
-        eprintln!("error: rss probe sweep incomplete");
-        std::process::exit(helios::exit::FAILED);
-    }
-    println!("{}", peak_rss_kb());
-}
-
-/// Re-invokes this binary as `trace rss-probe`, returning the child's peak
-/// RSS in kB.
-fn probe_rss(store_dir: &Path, materialize: bool) -> u64 {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(_) => return 0,
-    };
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("rss-probe").arg("--store").arg(store_dir);
-    if materialize {
-        cmd.arg("--materialize");
-    }
-    cmd.stderr(std::process::Stdio::null());
-    match cmd.output() {
-        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout)
-            .trim()
-            .parse()
-            .unwrap_or(0),
-        _ => 0,
-    }
-}
-
-fn cmd_bench(mut args: Vec<String>) {
-    let store = open_store(&mut args);
-    let stable = std::env::var("HELIOS_BENCH_STABLE").is_ok_and(|v| v == "1");
-    let ws = helios::all_workloads();
-
-    // Per-workload size table (drives the EXPERIMENTS.md v1-vs-v2 table) and
-    // encode throughput: every trace is captured in memory once, costed in
-    // both formats, and pushed through the v2 encoder against a sink.
-    let mut table = Table::new(vec![
-        "workload".into(),
-        "µ-ops".into(),
-        "v1 bytes".into(),
-        "v2 bytes".into(),
-        "v2 B/µ-op".into(),
-        "ratio".into(),
-    ]);
-    let (mut total_uops, mut total_v1, mut total_v2) = (0u64, 0u64, 0u64);
-    let mut encode_secs = 0.0f64;
-    for w in &ws {
-        let mem = Trace::record(w.program.clone(), w.fuel).unwrap_or_else(|e| {
-            eprintln!("error: recording {}: {e}", w.name);
-            std::process::exit(helios::exit::FAILED);
-        });
-        let uops: Vec<_> = mem.replay().collect();
-        let start = Instant::now();
-        let v2 = codec::encode_v2(
-            &uops,
-            mem.output(),
-            w.name,
-            helios_emu::DEFAULT_BLOCK_UOPS,
-            &mut std::io::sink(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: encoding {}: {e}", w.name);
-            std::process::exit(helios::exit::FAILED);
-        });
-        encode_secs += start.elapsed().as_secs_f64();
-        let v1 = v1_bytes(mem.len(), mem.output().len() as u64);
-        total_uops += mem.len();
-        total_v1 += v1;
-        total_v2 += v2;
-        table.row(vec![
-            w.name.to_string(),
-            mem.len().to_string(),
-            v1.to_string(),
-            v2.to_string(),
-            format!("{:.3}", v2 as f64 / mem.len().max(1) as f64),
-            format!("{:.3}", v2 as f64 / v1 as f64),
-        ]);
-        // Make sure the store holds the corpus for the decode pass below.
-        if let Err(e) = w.stored(&store) {
-            eprintln!("error: storing {}: {e}", w.name);
-            std::process::exit(helios::exit::FAILED);
-        }
-    }
-    table.row(vec![
-        "total".into(),
-        total_uops.to_string(),
-        total_v1.to_string(),
-        total_v2.to_string(),
-        format!("{:.3}", total_v2 as f64 / total_uops.max(1) as f64),
-        format!("{:.3}", total_v2 as f64 / total_v1.max(1) as f64),
-    ]);
-
-    // Decode throughput: stream every store file block-at-a-time.
-    let entries = store.entries().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(helios::exit::FAILED);
-    });
-    let corpus_bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    let start = Instant::now();
-    let mut decoded = 0u64;
-    for e in &entries {
-        let replay = BlockReplay::open(&e.path).unwrap_or_else(|err| {
-            eprintln!("error: opening {}: {err}", e.path.display());
-            std::process::exit(helios::exit::FAILED);
-        });
-        decoded += replay.count() as u64;
-    }
-    let decode_secs = start.elapsed().as_secs_f64();
-
-    // Peak sweep RSS, streaming vs materialized, in separate child
-    // processes (VmHWM never goes down).
-    let rss_streaming_kb = probe_rss(store.dir(), false);
-    let rss_materialized_kb = probe_rss(store.dir(), true);
-
-    let zero_if_stable = |x: f64| if stable { 0.0 } else { x };
-    let encode_mups = zero_if_stable(total_uops as f64 / encode_secs.max(1e-9) / 1e6);
-    let decode_mups = zero_if_stable(decoded as f64 / decode_secs.max(1e-9) / 1e6);
-    let rss_mb = |kb: u64| zero_if_stable(kb as f64 / 1024.0);
-
-    let bytes_per_uop = total_v2 as f64 / total_uops.max(1) as f64;
-    let mut report = Report::new(
-        "trace_bench",
-        format!("HTRC2 codec benchmark ({} workloads)", ws.len()),
-        table,
-    );
-    report.note(format!(
-        "corpus: {corpus_bytes} bytes on disk, {bytes_per_uop:.3} B/µ-op \
-         (v1 fixed layout: 47 B/µ-op)"
-    ));
-    report.note(format!(
-        "throughput: encode {encode_mups:.1} Mµops/s, decode {decode_mups:.1} Mµops/s"
-    ));
-    report.note(format!(
-        "sweep peak RSS: {:.1} MB streaming vs {:.1} MB materialized",
-        rss_mb(rss_streaming_kb),
-        rss_mb(rss_materialized_kb)
-    ));
-    report.print();
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"trace_store\",\n  \"workloads\": {},\n  \"uops\": {},\n  \"corpus_bytes\": {},\n  \"bytes_per_uop\": {:.3},\n  \"v1_bytes\": {},\n  \"v2_vs_v1_ratio\": {:.4},\n  \"encode_mups_per_sec\": {:.2},\n  \"decode_mups_per_sec\": {:.2},\n  \"sweep_peak_rss_kb_streaming\": {},\n  \"sweep_peak_rss_kb_materialized\": {}\n}}\n",
-        ws.len(),
-        total_uops,
-        corpus_bytes,
-        bytes_per_uop,
-        total_v1,
-        total_v2 as f64 / total_v1.max(1) as f64,
-        encode_mups,
-        decode_mups,
-        if stable { 0 } else { rss_streaming_kb },
-        if stable { 0 } else { rss_materialized_kb },
-    );
-    let dir = helios::results_dir();
-    let path = dir.join("BENCH_trace.json");
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("wrote {}", path.display());
-    }
 }
 
 // --- dump (the classic disassembled µ-op view) -----------------------------

@@ -1,5 +1,10 @@
 //! Shared helpers for the figure/table regeneration binaries.
 //!
+//! These binaries regenerate the paper's results; they do not time
+//! themselves. The simulator's speed is measured in one place, the
+//! benchmark of record (`python3 perfbench/run.py`, declared in
+//! `BENCHMARK.json`).
+//!
 //! Every binary accepts:
 //! * `--quick` — run a representative 8-workload subset instead of all 32;
 //! * `--only <name>[,<name>...]` — run specific workloads;
@@ -24,14 +29,13 @@
 //! * `HELIOS_TRACE_DIR` — content-addressed [`helios::TraceStore`]
 //!   directory of HTRC2 files: traces are recorded once ever, verified on
 //!   every open, and replayed block-at-a-time by sweep cells (a leftover v1
-//!   `.htrc` file is ignored);
-//! * `HELIOS_BENCH_STABLE` — zero wall-clock-derived fields in
-//!   `BENCH_sweep.json` so CI can diff it across runs.
+//!   `.htrc` file is ignored). Read only by [`open_trace_store`].
 
 pub mod census;
 pub mod server;
 
-use helios::{CellChaos, Report, Sweep, SweepOptions, SweepPolicy, Table, Workload};
+use helios::{CellChaos, Report, Sweep, SweepOptions, SweepPolicy, Table, TraceStore, Workload};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The representative subset used by `--quick` (chosen to cover the paper's
@@ -250,14 +254,22 @@ pub fn sweep_options(id: &str, opts: &SweepOpts) -> SweepOptions {
         }),
         chaos,
         stop_after,
-        trace_store: std::env::var_os("HELIOS_TRACE_DIR").map(|dir| {
-            helios::TraceStore::open(&dir).unwrap_or_else(|e| {
-                eprintln!("error: HELIOS_TRACE_DIR {}: {e}", dir.to_string_lossy());
-                std::process::exit(helios::exit::USAGE);
-            })
-        }),
+        trace_store: open_trace_store(None),
         handle_interrupt: true,
     }
+}
+
+/// Opens the trace store at `dir`, or at `$HELIOS_TRACE_DIR` when `dir` is
+/// `None`; this is the one place that variable is read. Returns `None` when
+/// neither names a directory.
+///
+/// Exits with [`helios::exit::USAGE`] when the directory cannot be opened.
+pub fn open_trace_store(dir: Option<PathBuf>) -> Option<TraceStore> {
+    let dir = dir.or_else(|| std::env::var_os("HELIOS_TRACE_DIR").map(PathBuf::from))?;
+    Some(TraceStore::open(&dir).unwrap_or_else(|e| {
+        eprintln!("error: cannot open trace store {}: {e}", dir.display());
+        std::process::exit(helios::exit::USAGE);
+    }))
 }
 
 /// Runs the figure's sweep through the resilient executor with the standard

@@ -2,12 +2,12 @@
 //! port, exercised through the real TCP stack — the thin client, raw
 //! sockets, concurrent clients, and cache persistence across restarts.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use helios::{FusionMode, Json, SimRequest, Workload};
+use helios::{FusionMode, Json, SimRequest, SimStats, Workload};
 use helios_bench::server::client::remote_sweep_with_summary;
 use helios_bench::server::{Server, ServerConfig};
 
@@ -255,4 +255,109 @@ fn health_endpoint_and_error_paths() {
     ));
     assert!(status.starts_with("HTTP/1.1 400"), "{status}");
     assert!(body.contains("unknown workload"), "{body}");
+}
+
+/// A one-shot fake daemon: accepts one connection, reads the request, and
+/// answers with a `done` event reporting `cells` (workload, mode pairs, each
+/// with default stats). Returns the URL to send the request to.
+fn fake_daemon(cells: &[(&str, FusionMode)]) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let url = format!("http://{}", listener.local_addr().unwrap());
+    let stats = Json::Obj(
+        SimStats::default()
+            .to_kv()
+            .into_iter()
+            .map(|(k, v)| (k, Json::Num(v as f64)))
+            .collect(),
+    );
+    let cells: Vec<Json> = cells
+        .iter()
+        .map(|(w, m)| {
+            Json::Obj(vec![
+                ("workload".to_string(), Json::Str(w.to_string())),
+                ("mode".to_string(), Json::Str(m.name().to_string())),
+                ("stats".to_string(), stats.clone()),
+            ])
+        })
+        .collect();
+    let done = Json::Obj(vec![
+        (
+            "schema".to_string(),
+            Json::Str("helios-sweepd-v1".to_string()),
+        ),
+        ("event".to_string(), Json::Str("done".to_string())),
+        ("total".to_string(), Json::Num(cells.len() as f64)),
+        ("cache_hits".to_string(), Json::Num(cells.len() as f64)),
+        ("simulated".to_string(), Json::Num(0.0)),
+        ("failures".to_string(), Json::Arr(vec![])),
+        ("cells".to_string(), Json::Arr(cells)),
+    ]);
+    let thread = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the client");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // Consume the whole request so closing the socket cannot reset it.
+        let mut len = 0;
+        let mut line = String::new();
+        loop {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                len = v.trim().parse().unwrap();
+            }
+            if line == "\r\n" || line.is_empty() {
+                break;
+            }
+        }
+        reader.read_exact(&mut vec![0; len]).unwrap();
+        let mut stream = stream;
+        write!(
+            stream,
+            "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{done}\n"
+        )
+        .unwrap();
+    });
+    (url, thread)
+}
+
+/// A `done` event must report exactly the requested grid. A matching cell
+/// count is not enough: a stream that repeats one cell and omits another,
+/// or names a cell outside the request, must be refused, not turned into a
+/// figure that silently lacks a row.
+#[test]
+fn client_rejects_a_done_event_that_is_not_the_requested_grid() {
+    let (workloads, modes) = grid();
+    let (nf, he) = (FusionMode::NoFusion, FusionMode::Helios);
+    let cases: [(&str, Vec<(&str, FusionMode)>); 3] = [
+        (
+            "twice",
+            vec![
+                ("crc32", nf),
+                ("crc32", nf),
+                ("crc32", he),
+                ("bitcount", nf),
+            ],
+        ),
+        (
+            "workload `fft`",
+            vec![("crc32", nf), ("crc32", he), ("bitcount", nf), ("fft", he)],
+        ),
+        (
+            "mode `CSF-SBR`",
+            vec![
+                ("crc32", nf),
+                ("crc32", he),
+                ("bitcount", nf),
+                ("bitcount", FusionMode::CsfSbr),
+            ],
+        ),
+    ];
+    for (want, cells) in cases {
+        let (url, daemon) = fake_daemon(&cells);
+        let got = remote_sweep_with_summary(&url, &workloads, &modes);
+        daemon.join().expect("fake daemon");
+        match got {
+            Ok(_) => panic!("accepted a done event with cells {cells:?}"),
+            Err(e) => assert!(e.contains(want), "error `{e}` does not mention {want}"),
+        }
+    }
 }

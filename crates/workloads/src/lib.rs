@@ -168,6 +168,10 @@ mod tests {
                 "missing workload {expect}"
             );
         }
+        // Each name looks up its own kernel.
+        for w in &all {
+            assert_eq!(workload(w.name).map(|k| k.name), Some(w.name));
+        }
         // Names unique.
         let mut names: Vec<_> = all.iter().map(|w| w.name).collect();
         names.sort_unstable();
