@@ -36,7 +36,7 @@ pub mod cache;
 pub mod client;
 pub mod http;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,9 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use helios::{
-    workload, FusionMode, Json, PipeConfig, SimError, SimRequest, SimStats, TraceStore, Workload,
-};
+use helios::{FusionMode, Json, PipeConfig, SimError, SimRequest, SimStats, TraceStore, Workload};
 
 use cache::{CellKey, ResultCache};
 
@@ -121,7 +119,20 @@ struct Sched {
     rr: usize,
 }
 
+/// Every registered kernel by name, built once when the daemon starts and
+/// shared by all requests: serving a request builds no kernel, so the
+/// daemon's memory does not depend on how many requests overlap.
+type Registry = HashMap<&'static str, Arc<Workload>>;
+
+fn registry() -> Registry {
+    helios::all_workloads()
+        .into_iter()
+        .map(|w| (w.name, Arc::new(w)))
+        .collect()
+}
+
 struct Shared {
+    workloads: Registry,
     sched: Mutex<Sched>,
     work_ready: Condvar,
     cache: Mutex<ResultCache>,
@@ -286,6 +297,7 @@ impl Server {
         let store = TraceStore::open(config.cache_dir.join("traces"))
             .map_err(|e| format!("trace store: {e}"))?;
         let shared = Arc::new(Shared {
+            workloads: registry(),
             sched: Mutex::new(Sched {
                 jobs: Vec::new(),
                 rr: 0,
@@ -372,7 +384,7 @@ struct SweepRequest {
     modes: Vec<FusionMode>,
 }
 
-fn parse_sweep_request(body: &[u8]) -> Result<SweepRequest, String> {
+fn parse_sweep_request(body: &[u8], registry: &Registry) -> Result<SweepRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = Json::parse(text).map_err(|e| format!("body is not JSON: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
@@ -387,8 +399,8 @@ fn parse_sweep_request(body: &[u8]) -> Result<SweepRequest, String> {
     let mut workloads = Vec::with_capacity(names.len());
     for n in names {
         let n = n.as_str().ok_or("non-string workload name")?;
-        let w = workload(n).ok_or_else(|| format!("unknown workload `{n}`"))?;
-        workloads.push(Arc::new(w));
+        let w = registry.get(n).ok_or_else(|| format!("unknown workload `{n}`"))?;
+        workloads.push(w.clone());
     }
     let modes = doc
         .get("modes")
@@ -453,7 +465,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             "application/json",
             status_json(shared).to_string().as_bytes(),
         ),
-        ("POST", "/v1/sweep") => match parse_sweep_request(&req.body) {
+        ("POST", "/v1/sweep") => match parse_sweep_request(&req.body, &shared.workloads) {
             Ok(sweep) => {
                 serve_sweep(shared, &mut writer, &sweep);
                 Ok(())
