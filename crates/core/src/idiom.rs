@@ -66,7 +66,7 @@ impl Idiom {
     }
 
     /// Human-readable name as used in the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             Idiom::LoadPair => "load pair",
             Idiom::StorePair => "store pair",

@@ -322,11 +322,12 @@ impl PipeConfig {
     /// `(workload, config)` so a resumed or cached cell is only reused for
     /// an identical configuration.
     ///
-    /// FNV-1a over every field, enumerated through exhaustive destructuring
-    /// (the same compile-enforced idiom as `SimStats::to_kv`): adding a
-    /// field to [`PipeConfig`], [`HeliosParams`], or any nested
-    /// sub-structure without extending this function refuses to compile, so
-    /// a new knob can never silently alias two distinct configs. The
+    /// FNV-1a over every field, enumerated through exhaustive
+    /// destructuring: adding a field to [`PipeConfig`], [`HeliosParams`],
+    /// or any nested sub-structure without extending this function
+    /// refuses to compile, so a new knob can never silently alias two
+    /// distinct configs. The fields are typed and nested, so they are
+    /// listed here rather than in a flat table like `SimStats`'s. The
     /// previous implementation hashed the derived `Debug` rendering, which
     /// covered fields transitively but would have gone quietly stale the
     /// day a sub-structure gained a hand-written `Debug`. A digest change

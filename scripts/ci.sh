@@ -35,6 +35,16 @@ for bin in fig02 fig03 fig04 fig05 fig08 fig09 table1 table2 table3 ablation; do
     echo "  -> $bin"
     cargo run --release -q -p helios-bench --bin "$bin" -- --quick --jobs 2 > /dev/null
 done
+# inspect is the one binary that prints the stats registry: its dump must
+# carry the first counter, the last counter and the last gauge.
+echo "  -> inspect --obs"
+cargo run --release -q -p helios-bench --bin inspect -- --only crc32 --obs > "$scratch/inspect.out"
+for entry in cycles fusion.repair.catalyst_flush fusion.fused_pct_of_uops; do
+    grep -qE "^ +${entry//./\\.} " "$scratch/inspect.out" || {
+        echo "ci: FAIL — inspect --obs dump lacks registry entry $entry" >&2
+        exit 1
+    }
+done
 
 echo "==> validating per-figure JSON artifacts"
 for id in fig02 fig03 fig04 fig05 fig08 fig09 fig10 table1 table2 table3 ablation fuzz; do

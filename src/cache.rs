@@ -260,8 +260,9 @@ mod tests {
         let mut cache = ResultCache::open(&path).unwrap();
         cache.put(key, "w", "NoFusion", &stats(10)).unwrap();
         cache.put(key, "w", "NoFusion", &stats(20)).unwrap();
-        // Corrupt line + foreign schema + stale ISA + a renamed stat field,
-        // all skipped on load.
+        // Corrupt line + foreign schema + stale ISA + a renamed stat field
+        // + a duplicated stat standing in for a missing one, all skipped on
+        // load.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         writeln!(f, "{{ not json").unwrap();
         writeln!(f, "{{\"schema\":\"other-v1\"}}").unwrap();
@@ -279,11 +280,18 @@ mod tests {
             good.lines().next().unwrap().replace("cycles", "cycels")
         )
         .unwrap();
+        let duplicated = good
+            .lines()
+            .next()
+            .unwrap()
+            .replace("\"instructions\":", "\"cycles\":");
+        assert!(!duplicated.contains("\"instructions\""));
+        writeln!(f, "{duplicated}").unwrap();
         drop(f);
         let cache = ResultCache::open(&path).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(key).unwrap().cycles, 20);
-        assert_eq!(cache.skipped(), 4);
+        assert_eq!(cache.skipped(), 5);
     }
 
     #[test]
